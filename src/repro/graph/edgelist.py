@@ -25,6 +25,20 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["EdgeList"]
 
 
+def _as_int64(name: str, values) -> np.ndarray:
+    """``values`` as a contiguous int64 array.  Float input must hold
+    whole numbers in int64 range: a NaN, an infinity or a fraction would
+    otherwise be cast silently (and NaN to ``-2**63``)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "f":
+        bad = ~np.isfinite(arr) | (arr != np.trunc(arr))
+        bad |= (arr < -(2.0**63)) | (arr >= 2.0**63)
+        if bad.any():
+            first = arr[bad].flat[0]
+            raise GraphError(f"{name} must hold whole numbers in int64 range, got {first}")
+    return np.ascontiguousarray(arr, dtype=np.int64)
+
+
 @dataclass
 class EdgeList:
     """An undirected multigraph given as arrays of endpoints.
@@ -47,10 +61,10 @@ class EdgeList:
     w: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.u = np.ascontiguousarray(self.u, dtype=np.int64)
-        self.v = np.ascontiguousarray(self.v, dtype=np.int64)
+        self.u = _as_int64("u", self.u)
+        self.v = _as_int64("v", self.v)
         if self.w is not None:
-            self.w = np.ascontiguousarray(self.w, dtype=np.int64)
+            self.w = _as_int64("w", self.w)
         self.validate()
 
     # -- invariants -----------------------------------------------------------

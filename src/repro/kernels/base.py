@@ -57,12 +57,14 @@ class KernelBackend:
 
     # -- dispatchable operations ------------------------------------------
 
-    def group_minima(self, idx: np.ndarray, vals: np.ndarray):
-        """Sort-reduce duplicate scatter targets.
+    def group_minima(self, idx: np.ndarray, vals: np.ndarray, size: "int | None" = None):
+        """Grouped minimum over duplicate scatter targets.
 
         Returns ``(targets, minima)``: ascending unique target indices
         and the minimum value proposed for each — the adjudication core
-        of ``SharedArray.scatter_min`` / ``scatter_store_min``.
+        of ``SharedArray.scatter_min`` / ``scatter_store_min``.  The
+        optional ``size`` is an upper bound on ``idx`` (exclusive) that
+        a caller which already bounds-checked can pass along.
         """
         raise NotImplementedError
 

@@ -3,21 +3,20 @@
 The UPC address-mapping study (Serres et al.) attributes much of PGAS
 overhead to per-element translation work that a compiled kernel
 eliminates; this backend is that experiment for the simulator's hot
-loops.  Where NumPy pays for materialized sort permutations, fused key
-vectors, and full presence-mask scans, the compiled loops stream each
-input once with no temporaries.
+loops.  Where NumPy pays for fused key vectors and full presence-mask
+scans, the compiled loops stream each input once with no temporaries.
 
 Numba is **not** a dependency of this tree: the backend registers
 itself as unavailable (with the import error as the reason) when the
 package is missing, and :func:`repro.kernels.resolve_backend` falls
 back to NumPy with a one-line warning — never a crash.  Compilation is
 lazy (first call per signature); the JIT'd results are bit-identical to
-the baseline because every loop computes the same min/count/presence
+the baseline because every loop computes the same count/presence
 reduction in the same integer domain.
 
-Float-valued grouped minima delegate to the baseline: ``np.minimum``
-has IEEE NaN-propagation rules a plain ``<`` loop would not reproduce,
-and the solvers only scatter integer labels/keys anyway.
+Grouped minima are inherited from the baseline: its dense
+``np.minimum.at`` kernel has no sort left for a compiled loop to
+remove, and it keeps ``np.minimum``'s IEEE NaN propagation for free.
 """
 
 from __future__ import annotations
@@ -40,18 +39,6 @@ except ImportError as exc:  # the common case in this tree's base image
 
 
 if _missing is None:  # pragma: no cover - exercised only where numba is installed
-
-    @njit(cache=False, nogil=True)
-    def _scan_minima(sidx, svals, targets, minima):
-        k = 0
-        for i in range(sidx.shape[0]):
-            if i == 0 or sidx[i] != sidx[i - 1]:
-                targets[k] = sidx[i]
-                minima[k] = svals[i]
-                k += 1
-            elif svals[i] < minima[k - 1]:
-                minima[k - 1] = svals[i]
-        return k
 
     @njit(cache=False, nogil=True)
     def _count_pairs(requesters, owners, out_flat, s):
@@ -89,7 +76,7 @@ class NumbaKernels(NumpyKernels):
 
     name = "numba"
     requires = "numba"
-    native_ops = ("group_minima", "exchange_matrix", "owner_distinct", "segment_distinct")
+    native_ops = ("exchange_matrix", "owner_distinct", "segment_distinct")
 
     @classmethod
     def missing_reason(cls):
@@ -97,17 +84,6 @@ class NumbaKernels(NumpyKernels):
 
     # pragma-free: the methods below only run where numba imports, and
     # the golden matrix in tests/test_kernels.py covers them there.
-
-    def group_minima(self, idx, vals):  # pragma: no cover - needs numba
-        if vals.dtype.kind not in "iu":
-            return super().group_minima(idx, vals)
-        order = np.argsort(idx)
-        sidx = idx[order]
-        svals = np.ascontiguousarray(vals[order])
-        targets = np.empty(sidx.shape[0], dtype=np.int64)
-        minima = np.empty(svals.shape[0], dtype=svals.dtype)
-        k = _scan_minima(sidx, svals, targets, minima)
-        return targets[:k], minima[:k]
 
     def exchange_matrix(self, requesters, owners, s):  # pragma: no cover - needs numba
         out = np.zeros(s * s, dtype=np.int64)

@@ -3,9 +3,10 @@
 This is the reference implementation every other backend is compared
 against (and falls back to, per-op, for anything outside its
 ``native_ops``).  The code is the vectorized rewrite that bought the
-original ~2x serial speedup — argsort + ``np.minimum.reduceat`` grouped
-minima, fused pair keys through the pooled arena, presence masks with
-prefix sums — moved verbatim behind the backend interface.
+original ~2x serial speedup — fused pair keys through the pooled
+arena, presence masks with prefix sums — moved verbatim behind the
+backend interface.  Grouped minima use a dense presence mask plus one
+``np.minimum.at`` over the target range: O(n + size) with no sort.
 """
 
 from __future__ import annotations
@@ -18,17 +19,26 @@ from .base import KERNEL_OPS, KernelBackend
 __all__ = ["NumpyKernels", "group_minima_numpy"]
 
 
-def group_minima_numpy(idx: np.ndarray, vals: np.ndarray):
-    """Sort-reduce duplicate targets: returns ``(targets, minima)`` with
-    ``targets`` the ascending unique indices and ``minima`` the minimum
-    value proposed for each (same adjudication as ``np.minimum.at``,
-    without its per-element inner loop).  Module-level so the sharding
-    workers can call it without instantiating a backend."""
-    order = np.argsort(idx)
-    sidx = idx[order]
-    svals = vals[order]
-    starts = np.flatnonzero(np.concatenate(([True], sidx[1:] != sidx[:-1])))
-    return sidx[starts], np.minimum.reduceat(svals, starts)
+def group_minima_numpy(idx: np.ndarray, vals: np.ndarray, size: "int | None" = None):
+    """Grouped minimum over duplicate targets: returns ``(targets,
+    minima)`` with ``targets`` the ascending unique indices and
+    ``minima`` the minimum value proposed for each, adjudicated by
+    ``np.minimum.at`` in input order like the legacy engine.  ``size``
+    bounds the targets (``idx < size``): callers that already
+    bounds-checked pass it, otherwise the kernel scans ``idx.max()``.
+    Module-level so the sharding workers can call it without
+    instantiating a backend."""
+    if size is None:
+        size = int(idx.max()) + 1 if idx.size else 0
+    present = np.zeros(size, dtype=bool)
+    present[idx] = True
+    targets = np.flatnonzero(present)
+    identity = np.inf if vals.dtype.kind == "f" else np.iinfo(vals.dtype).max
+    buf = np.full(size, identity, dtype=vals.dtype)
+    # NaN proposals propagate (np.minimum semantics) without a warning.
+    with np.errstate(invalid="ignore"):
+        np.minimum.at(buf, idx, vals)
+    return targets, buf[targets]
 
 
 class NumpyKernels(KernelBackend):
@@ -38,8 +48,8 @@ class NumpyKernels(KernelBackend):
     requires = None
     native_ops = KERNEL_OPS
 
-    def group_minima(self, idx, vals):
-        return group_minima_numpy(idx, vals)
+    def group_minima(self, idx, vals, size=None):
+        return group_minima_numpy(idx, vals, size)
 
     def exchange_matrix(self, requesters, owners, s):
         # Fused key build into pooled scratch (this runs once per

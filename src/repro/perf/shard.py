@@ -107,7 +107,7 @@ def _apply_scatter_min(data: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> i
     (bit-identical: grouping and adjudication are per-target)."""
     if idx.size == 0:
         return 0
-    targets, minima = group_minima_numpy(idx, vals)
+    targets, minima = group_minima_numpy(idx, vals, data.shape[0])
     before = data[targets]
     new = np.minimum(before, minima)
     changed = int(np.count_nonzero(new != before))
@@ -118,7 +118,7 @@ def _apply_scatter_min(data: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> i
 def _apply_scatter_store_min(data: np.ndarray, idx: np.ndarray, vals64: np.ndarray) -> int:
     if idx.size == 0:
         return 0
-    targets, minima = group_minima_numpy(idx, vals64)
+    targets, minima = group_minima_numpy(idx, vals64, data.shape[0])
     keep = minima != np.iinfo(np.int64).max
     targets, minima = targets[keep], minima[keep]
     changed = int(np.count_nonzero(data[targets] != minima))

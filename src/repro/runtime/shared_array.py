@@ -142,7 +142,7 @@ class SharedArray:
                 changed = session.try_scatter_min(self, idx, vals)
                 if changed is not None:
                     return changed
-            targets, minima = kernels.active_backend().group_minima(idx, vals)
+            targets, minima = kernels.active_backend().group_minima(idx, vals, self.size)
             before = self.data[targets]
             new = np.minimum(before, minima)
             changed = int(np.count_nonzero(new != before))
@@ -178,7 +178,9 @@ class SharedArray:
                 changed = session.try_scatter_store_min(self, idx, vals)
                 if changed is not None:
                     return changed
-            targets, minima = kernels.active_backend().group_minima(idx, vals.astype(np.int64))
+            targets, minima = kernels.active_backend().group_minima(
+                idx, vals.astype(np.int64), self.size
+            )
             # Match the sentinel path exactly: a proposal equal to the
             # sentinel is indistinguishable from "untouched" there.
             keep = minima != np.iinfo(np.int64).max

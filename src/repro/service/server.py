@@ -281,6 +281,9 @@ class GraphService:
 class _Handler(BaseHTTPRequestHandler):
     service: GraphService  # set on the subclass by ServiceServer
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two sends; with Nagle on, a keep-alive
+    # client's next request waits for the delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt, *args):  # quiet by default
         pass

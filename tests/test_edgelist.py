@@ -1,5 +1,7 @@
 """Tests for EdgeList (repro.graph.edgelist)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,21 @@ class TestValidation:
     def test_rejects_weight_mismatch(self):
         with pytest.raises(GraphError):
             make(5, [(0, 1)], w=[1, 2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5, 1e300])
+    @pytest.mark.parametrize("field", ["u", "v", "w"])
+    def test_rejects_non_whole_float_input_without_warning(self, field, bad):
+        arrays = {"u": [0.0, 1.0], "v": [1.0, 2.0], "w": [1.0, 2.0]}
+        arrays[field] = [arrays[field][0], bad]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GraphError, match=f"{field} must hold whole numbers"):
+                EdgeList(3, **arrays)
+
+    def test_accepts_whole_float_input(self):
+        g = EdgeList(3, [0.0, 1.0], [1.0, 2.0], w=[7.0, -3.0])
+        assert g.u.dtype == g.v.dtype == g.w.dtype == np.int64
+        assert g.w.tolist() == [7, -3]
 
     def test_density(self):
         assert make(10, [(0, 1)] * 5).density == pytest.approx(0.5)

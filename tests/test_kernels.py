@@ -11,8 +11,13 @@ one-line warning, and never a crash.
 
 from __future__ import annotations
 
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro import kernels
 from repro.cli import main
@@ -21,7 +26,9 @@ from repro.kernels import state as kernel_state
 from repro.kernels.base import KERNEL_OPS, KernelBackend
 from repro.kernels.numpy_backend import NumpyKernels, group_minima_numpy
 from repro.perf import clear_derived_caches, global_arena
+from repro.perf import state as perf_state
 from repro.perf.golden import SCENARIOS, Scenario, scenario_fingerprint
+from repro.runtime import SharedArray, hps_cluster
 
 
 def _scenario_id(scenario: Scenario) -> str:
@@ -111,11 +118,13 @@ class TestOps:
         np.testing.assert_array_equal(minima, [3])
 
     def test_group_minima_float_nan_propagates_like_minimum_at(self, backend):
-        # The numba backend delegates float input to the baseline for
-        # exactly this reason: np.minimum propagates NaN.
+        # np.minimum propagates NaN, and the kernel must do so silently:
+        # a RuntimeWarning here would surface in every NaN-carrying solve.
         idx = np.array([0, 0, 1, 1], dtype=np.int64)
         vals = np.array([1.0, np.nan, 2.0, 3.0])
-        targets, minima = backend.group_minima(idx, vals)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            targets, minima = backend.group_minima(idx, vals)
         np.testing.assert_array_equal(targets, [0, 1])
         assert np.isnan(minima[0]) and minima[1] == 2.0
 
@@ -170,6 +179,115 @@ class TestOps:
         np.testing.assert_array_equal(
             got, [10, 11, 100, 20, 200, 201, 202, 30, 31, 32]
         )
+
+
+# -- dense grouped-minimum kernel vs np.minimum.at ----------------------------
+
+_I64_MAX = np.iinfo(np.int64).max
+_FLOAT_VALS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.sampled_from([np.inf, -np.inf, np.nan]),
+)
+
+
+def _int_vals(dtype, extremes_only):
+    info = np.iinfo(dtype)
+    extremes = st.sampled_from([int(info.max), int(info.min), 0])
+    if extremes_only:
+        return extremes
+    return st.one_of(st.integers(int(info.min), int(info.max)), st.integers(-5, 5), extremes)
+
+
+@st.composite
+def _scatter_inputs(draw):
+    dtype = draw(st.sampled_from([np.int64, np.int32, np.float64]))
+    n = draw(st.integers(1, 64))
+    shape = draw(st.sampled_from(["spread", "duplicate-heavy", "single-target"]))
+    span = {"spread": 64, "duplicate-heavy": 3, "single-target": 1}[shape]
+    base = draw(st.integers(0, 40))
+    idx = draw(st.lists(st.integers(base, base + span - 1), min_size=n, max_size=n))
+    if dtype is np.float64:
+        elems = _FLOAT_VALS
+    else:
+        elems = _int_vals(dtype, extremes_only=draw(st.booleans()))
+    vals = draw(st.lists(elems, min_size=n, max_size=n))
+    extra = draw(st.sampled_from([None, 0, 1, 17]))
+    return np.array(idx, dtype=np.int64), np.array(vals, dtype=dtype), extra
+
+
+# Pinned edge cases: a target whose only proposals are the dtype's max
+# (the kernel's identity must not leak out), and float ±inf / NaN.
+@example((np.array([3, 3, 1]), np.array([_I64_MAX, _I64_MAX, 7]), None))
+@example((np.array([2, 0]), np.array([2**31 - 1, -(2**31)], dtype=np.int32), 0))
+@example((np.array([1, 1, 2, 2, 4]), np.array([np.inf, np.nan, -np.inf, np.inf, np.inf]), 17))
+@given(_scatter_inputs())
+def test_property_group_minima_matches_minimum_at(inputs):
+    idx, vals, extra = inputs
+    hi = int(idx.max()) + 1
+    fill = np.inf if vals.dtype.kind == "f" else np.iinfo(vals.dtype).max
+    naive = np.full(hi, fill, dtype=vals.dtype)
+    with np.errstate(invalid="ignore"):
+        np.minimum.at(naive, idx, vals)
+    expected_targets = np.unique(idx)
+    size = None if extra is None else hi + extra
+    for name in kernels.available_backends():
+        with kernels.use_backend(name) as backend:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                targets, minima = backend.group_minima(idx, vals, size)
+        np.testing.assert_array_equal(targets, expected_targets)
+        assert minima.dtype == vals.dtype
+        np.testing.assert_array_equal(minima, naive[expected_targets])
+
+
+@st.composite
+def _shared_scatter_inputs(draw):
+    size = draw(st.integers(1, 60))
+    n = draw(st.integers(1, 150))
+    span = draw(st.sampled_from([size, min(size, 3), 1]))
+    idx = draw(st.lists(st.integers(0, span - 1), min_size=n, max_size=n))
+    small = st.integers(-1000, 1000)
+    # "all": every proposal is the sentinel, which scatter_store_min
+    # must drop entirely.
+    sentinels = draw(st.sampled_from(["none", "some", "all"]))
+    proposal = {
+        "none": small,
+        "some": st.one_of(small, st.just(_I64_MAX)),
+        "all": st.just(_I64_MAX),
+    }[sentinels]
+    vals = draw(st.lists(proposal, min_size=n, max_size=n))
+    data = draw(st.lists(st.one_of(small, st.just(_I64_MAX)), min_size=size, max_size=size))
+    return np.array(data, np.int64), np.array(idx, np.int64), np.array(vals, np.int64)
+
+
+@given(_shared_scatter_inputs(), st.sampled_from(["scatter_min", "scatter_store_min"]))
+def test_property_shared_scatters_match_legacy_engine(inputs, op):
+    """The dense fast path reproduces the legacy ``np.minimum.at`` paths
+    exactly — changed count and array bytes — including proposals equal
+    to ``iinfo(int64).max``, which ``scatter_store_min`` drops as
+    "untouched" on both paths."""
+    data, idx, vals = inputs
+    machine = hps_cluster(2, 2)
+    fast = SharedArray(machine, data.copy())
+    legacy = SharedArray(machine, data.copy())
+    fast_changed = getattr(fast, op)(idx, vals)
+    with perf_state.legacy_engine():
+        legacy_changed = getattr(legacy, op)(idx, vals)
+    assert fast_changed == legacy_changed
+    np.testing.assert_array_equal(fast.data, legacy.data)
+
+
+def test_scatter_store_min_drops_int64_max_proposals():
+    machine = hps_cluster(2, 2)
+    for engine in (contextlib.nullcontext, perf_state.legacy_engine):
+        arr = SharedArray(machine, np.array([5, 6, 7, 8], dtype=np.int64))
+        with engine():
+            changed = arr.scatter_store_min(
+                np.array([0, 1, 1], dtype=np.int64),
+                np.array([_I64_MAX, _I64_MAX, 9], dtype=np.int64),
+            )
+        assert changed == 1
+        np.testing.assert_array_equal(arr.data, [5, 9, 7, 8])
 
 
 # -- selection / validation ---------------------------------------------------

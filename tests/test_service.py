@@ -8,7 +8,9 @@ including the kill-and-restart journal-recovery contract.
 
 from __future__ import annotations
 
+import http.client
 import json
+import statistics
 import threading
 import time
 import urllib.error
@@ -743,6 +745,24 @@ class TestHTTPEndToEnd:
         assert _call(f"{url}/nope")[0] == 404
         status, body = _call(f"{url}/submit", {"algo": "wat"})
         assert status == 400
+
+    def test_keep_alive_round_trip_has_no_nagle_stall(self, live_server):
+        """Headers and body leave in separate sends; without TCP_NODELAY
+        a reused connection waits on Nagle plus delayed ACK (~40 ms)."""
+        host, port = live_server.address
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        rtts = []
+        try:
+            for _ in range(20):
+                t0 = time.perf_counter()
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                resp.read()
+                rtts.append(time.perf_counter() - t0)
+                assert resp.status == 200
+        finally:
+            conn.close()
+        assert statistics.median(rtts) < 0.020, rtts
 
     def test_malformed_json_is_400(self, live_server):
         req = urllib.request.Request(
